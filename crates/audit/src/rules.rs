@@ -13,9 +13,10 @@
 //! * **R3 `panic_surface`** — the serve and par hot paths contain
 //!   worker panics with `catch_unwind`; a stray `unwrap`/`panic!`/
 //!   unchecked index converts a data problem into an outage.
-//! * **R4 `lossy_cast`** — the quantized scoring kernels are exact only
-//!   because every narrowing cast is individually justified; new ones
-//!   must be reviewed (suppressed with a reason) or removed.
+//! * **R4 `lossy_cast`** — narrowing casts in the compact scoring
+//!   kernel: scores stay exact only because every narrowing cast is
+//!   individually justified; new ones must be reviewed (suppressed with
+//!   a reason) or removed.
 //! * **R5 `crate_hygiene`** — every workspace crate opts into the
 //!   shared lint wall (`[lints] workspace = true` + the
 //!   unwrap/expect deny header); checked at the manifest level in

@@ -31,8 +31,6 @@ pub struct Suppression {
     pub comment_line: u32,
     /// The code line the directive applies to.
     pub applies_to: u32,
-    /// Whether any finding actually matched this suppression.
-    pub used: bool,
 }
 
 /// Extract every suppression directive from a file's comments.
@@ -92,7 +90,6 @@ fn parse_directive(comment: &Comment) -> Option<Suppression> {
         reason,
         comment_line: comment.line,
         applies_to: 0,
-        used: false,
     })
 }
 

@@ -13,7 +13,7 @@
 use crate::lexer::{scan, test_line_spans, test_regions, Scanned};
 use crate::report::{AuditReport, Finding};
 use crate::rules::{check_file, FileCtx};
-use crate::suppress::{parse_suppressions, Suppression};
+use crate::suppress::parse_suppressions;
 use std::path::{Path, PathBuf};
 
 /// Why an audit run could not complete (distinct from findings).
@@ -82,7 +82,7 @@ pub fn audit_source(rel_path: &str, source: &str) -> Vec<Finding> {
         is_test_file: is_test_collateral(rel_path),
     };
     let violations = check_file(&ctx);
-    let mut suppressions = parse_suppressions(&scanned);
+    let suppressions = parse_suppressions(&scanned);
     let krate = crate_of(rel_path);
     let lines: Vec<&str> = source.lines().collect();
     let snippet = |line: u32| -> String {
@@ -95,12 +95,9 @@ pub fn audit_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     for v in violations {
         let reason = suppressions
-            .iter_mut()
+            .iter()
             .find(|s| s.applies_to == v.line && s.rules.iter().any(|r| r == v.rule))
-            .and_then(|s| {
-                s.used = true;
-                s.reason.clone()
-            });
+            .and_then(|s| s.reason.clone());
         findings.push(Finding {
             rule: v.rule.to_string(),
             file: rel_path.to_string(),
@@ -127,15 +124,6 @@ pub fn audit_source(rel_path: &str, source: &str) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// Unused directives in `sups` (directives that matched no finding).
-/// Currently informational; kept for future stale-allow reporting.
-#[must_use]
-pub fn unused_suppressions(sups: &[Suppression]) -> usize {
-    sups.iter()
-        .filter(|s| !s.used && s.reason.is_some())
-        .count()
 }
 
 /// R5: manifest- and crate-root-level hygiene.

@@ -1,27 +1,30 @@
 //! Sustained-ingest benchmark for the sharded serve topology.
 //!
-//! Builds a 4-shard [`ServeTopology`] over two on-disk feeds, streams a
-//! fleet of drives emitting hourly SMART samples through the real
-//! tailer → router → shard → merge path, and measures what the paper's
-//! deployment story needs: how many drives one box can track and how
-//! long a tick takes at that scale.
+//! Builds a 4-shard [`ServeTopology`] over two on-disk feeds and drives
+//! it with [`ServeLoop`] — the same loop `hddpred serve` runs — through
+//! the real tailer → router → shard → merge → sink path, timing every
+//! step's tick.
 //!
 //! The full run tracks 1,000,000 drives (three hourly waves, 3M rows);
 //! `--smoke` drops to 50,000 drives so CI can prove the harness and the
-//! artifact schema in seconds. Results land in `BENCH_serve.json` at
-//! the workspace root: one `serve_ingest` row with `tracked_drives`,
-//! `rows_ingested`, `rows_per_sec` and `p99_tick_ms` columns (CI fails
-//! if the file or the p99 column is missing).
+//! artifact schema in seconds. Three waves are fewer than the critical
+//! feature set's 12-hour lookback, so no row is ever scored: the row
+//! measures tail + parse + history bookkeeping only, and its op is
+//! labelled `serve_ingest_noscore` accordingly (the end-to-end serve
+//! numbers, scoring and voting included, come from `benches/perfbench`).
+//! Results land in `BENCH_serve.json` at the workspace root with
+//! `tracked_drives`, `rows_ingested`, `rows_per_sec` and `p99_tick_ms`
+//! columns (CI fails if the file or the p99 column is missing).
 
 use hdd_bench::report::Report;
 use hdd_bench::section;
+use hdd_bench::timing::p99;
 use hdd_cart::classifier::ClassificationTreeBuilder;
-use hdd_cart::sample::{Class, ClassSample};
-use hdd_eval::{SavedModel, VotingRule};
+use hdd_eval::{series_training_set, SavedModel, VotingRule};
+use hdd_lifecycle::ServeLoop;
 use hdd_par::{hardware_threads, CancelToken, ThreadPool};
 use hdd_serve::{EngineConfig, MultiFeedIngest, ServeTopology};
-use hdd_smart::rng::DeterministicRng;
-use hdd_smart::{DatasetGenerator, FamilyProfile, NUM_ATTRIBUTES};
+use hdd_smart::{DatasetGenerator, FamilyProfile, SmartSeries, NUM_ATTRIBUTES};
 use hdd_stats::FeatureSet;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -32,39 +35,13 @@ const FEEDS: usize = 2;
 const WAVES: u32 = 3;
 const QUEUE_CAP: usize = 16_384;
 
-/// Train a small classification tree on a generated fleet — the same
-/// samples-from-series recipe the CLI trainer uses, so the served model
-/// has realistic depth.
+/// Train a small classification tree on a generated fleet with the CLI
+/// trainer's training set, so the served model has realistic depth.
 fn model(features: &FeatureSet) -> SavedModel {
     let ds = DatasetGenerator::new(FamilyProfile::w().scaled(0.004), 99).generate();
-    let rng = DeterministicRng::new(0x5EED);
-    let mut samples = Vec::new();
-    for (d, spec) in ds.drives().iter().enumerate() {
-        let s = ds.series(spec);
-        match s.class.fail_hour() {
-            None => {
-                for k in 0..3u64 {
-                    let u = rng.uniform(d as u64, k);
-                    let idx = (u * s.len() as f64) as usize;
-                    if let Some(f) = features.extract(&s, idx) {
-                        samples.push(ClassSample::new(f, Class::Good));
-                    }
-                }
-            }
-            Some(fail) => {
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour.0 + 168 < fail.0 {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(&s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
+    let series: Vec<SmartSeries> = ds.drives().iter().map(|spec| ds.series(spec)).collect();
     let tree = ClassificationTreeBuilder::new()
-        .build(&samples)
+        .build(&series_training_set(&series, features, 168, 0x5EED))
         .expect("train bench model");
     SavedModel::from(tree.compile())
 }
@@ -119,7 +96,7 @@ fn main() {
     let paths = write_feeds(&dir, n_drives);
     println!("feeds written in {:.1} s", t.elapsed().as_secs_f64());
 
-    let mut topology = ServeTopology::new(
+    let topology = ServeTopology::new(
         &model,
         &features,
         EngineConfig::new(11, VotingRule::Majority, 0.1),
@@ -128,38 +105,28 @@ fn main() {
         QUEUE_CAP,
     )
     .expect("build topology");
-    let mut ingest = MultiFeedIngest::new(&paths, topology.router());
+    let ingest = MultiFeedIngest::new(&paths, topology.router());
+    let mut serve_loop = ServeLoop::new(ingest, topology, None, std::io::sink());
     let pool = ThreadPool::global();
 
     let mut tick_ms: Vec<f64> = Vec::new();
     let mut alarms = 0usize;
     let start = Instant::now();
     loop {
-        let polled = ingest.poll(topology.free());
-        assert!(polled.errors.is_empty(), "feed reads must not fail");
-        assert_eq!(
-            topology.enqueue(polled.routed),
-            0,
-            "budgeted polls cannot overflow"
-        );
-        let t = Instant::now();
-        let tick = topology
-            .tick(
-                &pool,
-                &CancelToken::new(),
-                &ingest.cursors(),
-                ingest.watermark(),
-            )
-            .expect("tick");
-        tick_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        alarms += tick.alarms.len();
-        if polled.lines_read == 0 && !topology.has_queued() {
+        let step = serve_loop
+            .step(&pool, &CancelToken::new())
+            .expect("serve step");
+        assert!(step.feed_errors.is_empty(), "feed reads must not fail");
+        assert_eq!(step.evicted, 0, "budgeted polls cannot overflow");
+        tick_ms.push(step.tick_ms);
+        alarms += step.alarms;
+        if step.quiesced {
             break;
         }
     }
-    alarms += topology.flush_pending().len();
     let wall = start.elapsed();
 
+    let topology = serve_loop.topology();
     let stats = topology.stats();
     let rows = stats.rows_seen;
     let tracked = topology.tracked_drives();
@@ -175,9 +142,7 @@ fn main() {
     }
 
     let rate = rows as f64 / wall.as_secs_f64();
-    tick_ms.sort_unstable_by(f64::total_cmp);
-    let p99_idx = ((tick_ms.len() - 1) as f64 * 0.99).ceil() as usize;
-    let p99 = tick_ms[p99_idx];
+    let p99 = p99(&tick_ms);
     println!(
         "{tracked} drives tracked, {rows} rows in {:.2} s ({:.0} rows/s), \
          {} ticks, p99 tick {p99:.2} ms, {alarms} alarms",
@@ -188,7 +153,7 @@ fn main() {
 
     let mut report = Report::new();
     report.push_with(
-        "serve_ingest",
+        "serve_ingest_noscore",
         hardware_threads(),
         wall.as_secs_f64() * 1e3,
         1.0,

@@ -28,6 +28,50 @@ use hdd_smart::{Dataset, DriveSpec, Hour, SmartSeries};
 use hdd_stats::FeatureSet;
 use std::fmt;
 
+/// The training set `hddpred train` fits its CT on, from raw labelled
+/// series: three random samples per good drive (each retried up to eight
+/// draws until an hour with full feature lookback comes up) plus every
+/// extractable sample within `window_hours` before a failed drive's
+/// failure. `seed` fixes the good-drive draws.
+#[must_use]
+pub fn series_training_set(
+    series: &[SmartSeries],
+    features: &FeatureSet,
+    window_hours: u32,
+    seed: u64,
+) -> Vec<ClassSample> {
+    let rng = DeterministicRng::new(seed);
+    let mut samples = Vec::new();
+    for (d, s) in series.iter().enumerate() {
+        match s.class.fail_hour() {
+            None => {
+                for k in 0..3u64 {
+                    for attempt in 0..8u64 {
+                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
+                        let idx = (u * s.len() as f64) as usize;
+                        if let Some(f) = features.extract(s, idx) {
+                            samples.push(ClassSample::new(f, Class::Good));
+                            break;
+                        }
+                    }
+                }
+            }
+            Some(fail) => {
+                let start = fail - window_hours;
+                for idx in 0..s.len() {
+                    if s.samples()[idx].hour < start {
+                        continue;
+                    }
+                    if let Some(f) = features.extract(s, idx) {
+                        samples.push(ClassSample::new(f, Class::Failed));
+                    }
+                }
+            }
+        }
+    }
+    samples
+}
+
 /// How regression-tree targets are assigned (§III-B, §V-C).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HealthTargets {

@@ -17,10 +17,10 @@
 //! any shard count, survive `kill -9` byte-identically, and replay
 //! exactly from checkpoints.
 //!
-//! This crate deliberately depends on `hdd-serve` only for its event,
-//! checkpoint and merge-filter types — the serve crate does *not* know
-//! about lifecycles. Wiring the two together is the caller's job
-//! (`hddpred serve --retrain-rows ...` and the workload gauntlet).
+//! The serve crate does *not* know about lifecycles; this crate wires
+//! the two together in [`ServeLoop`], the one poll → tick → sink →
+//! lifecycle → checkpoint driver that `hddpred serve`, the workload
+//! gauntlet and the `serve_ingest` bench all run.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
@@ -28,6 +28,7 @@
 pub mod buffer;
 pub mod manager;
 pub mod promote;
+pub mod serve_loop;
 pub mod shadow;
 
 pub use buffer::{BufferPush, TrainingBuffer, WindowMode};
@@ -36,4 +37,5 @@ pub use manager::{
     LifecycleManager, Phase,
 };
 pub use promote::{fingerprint, ModelStore, PromoteError, PromoteOutcome, PromotionStep, Recovery};
+pub use serve_loop::{ServeLoop, ServeLoopError, Step};
 pub use shadow::{PromotionGate, ShadowComparison, ShadowMetrics, ShadowScorer};

@@ -397,12 +397,6 @@ impl LifecycleManager {
         self.candidate_fingerprint
     }
 
-    /// The in-flight shadow comparison, when a candidate is shadowing.
-    #[must_use]
-    pub fn shadow_comparison(&self) -> Option<crate::shadow::ShadowComparison> {
-        self.shadow.as_ref().map(ShadowScorer::comparison)
-    }
-
     /// Whether a staged promotion or rollback is waiting for a quiesce.
     #[must_use]
     pub fn has_staged_swap(&self) -> bool {

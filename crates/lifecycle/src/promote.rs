@@ -226,16 +226,6 @@ impl ModelStore {
         self.fingerprint_of(&path)
     }
 
-    /// Remove a staged candidate (gate refusal). Missing file is fine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromoteError::Io`] on any failure other than the file
-    /// already being gone.
-    pub fn drop_candidate(&self) -> Result<(), PromoteError> {
-        remove_if_present(&self.candidate_path())
-    }
-
     /// Run protocol steps 2–5 over the already-staged candidate.
     ///
     /// `stop_at` injects a simulated crash after the named step; the

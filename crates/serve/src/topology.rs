@@ -227,15 +227,6 @@ impl ServeTopology {
         self.slots.iter().map(|s| s.engine.tracked_drives()).sum()
     }
 
-    /// Per-shard breaker states, shard order.
-    #[must_use]
-    pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.slots
-            .iter()
-            .map(|s| s.engine.breaker_state())
-            .collect()
-    }
-
     /// Enqueue one ingest poll's routing (`routed[k]` → shard `k`);
     /// returns how many lines were evicted (zero when the poll budget
     /// came from [`ServeTopology::free`]).

@@ -25,17 +25,17 @@ use crate::gen::{fleet_fingerprint, generate_fleet, FleetSummary, FnvWriter};
 use crate::manifest::ScenarioManifest;
 use crate::scenario::{Profile, Scenario};
 use hdd_bench::report::Report;
-use hdd_cart::{Class, ClassSample, ClassificationTreeBuilder, TrainError};
-use hdd_eval::{ModelError, SavedModel, VotingRule};
+use hdd_bench::timing::p99;
+use hdd_cart::{ClassificationTreeBuilder, TrainError};
+use hdd_eval::{series_training_set, ModelError, SavedModel, VotingRule};
 use hdd_fault::FaultClass;
 use hdd_json::{JsonCodec as _, JsonError};
 use hdd_lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleFaults, LifecycleManager,
-    PromotionStep,
+    PromotionStep, ServeLoop, ServeLoopError,
 };
 use hdd_par::{CancelToken, ThreadPool};
 use hdd_serve::{EngineConfig, MultiFeedIngest, ServeTopology};
-use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, SmartSeries};
 use hdd_stats::FeatureSet;
 use std::collections::BTreeMap;
@@ -355,36 +355,7 @@ pub fn train_model(seed: u64, scale: f64) -> Result<SavedModel, GauntletError> {
         .iter()
         .map(|spec| dataset.series(spec))
         .collect();
-    let rng = DeterministicRng::new(seed ^ 0x007E_A1CB);
-    let mut samples = Vec::new();
-    for (d, s) in series.iter().enumerate() {
-        match s.class.fail_hour() {
-            None => {
-                // Three random healthy samples per good drive.
-                for k in 0..3u64 {
-                    for attempt in 0..8u64 {
-                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
-                        let idx = (u * s.len() as f64) as usize;
-                        if let Some(f) = features.extract(s, idx) {
-                            samples.push(ClassSample::new(f, Class::Good));
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(fail) => {
-                let start = fail - TRAIN_WINDOW_HOURS;
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour < start {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
+    let samples = series_training_set(&series, &features, TRAIN_WINDOW_HOURS, seed ^ 0x007E_A1CB);
     let tree = ClassificationTreeBuilder::new()
         .build(&samples)
         .map_err(GauntletError::Train)?;
@@ -498,16 +469,6 @@ fn run_manifest(
     Ok(outcomes)
 }
 
-/// Time one closure, returning its result and the wall milliseconds.
-fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // audit:allow(R1) reason="gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
-    let start = std::time::Instant::now();
-    let out = f();
-    // audit:allow(R1) reason="gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    (out, ms)
-}
-
 fn ensure(cond: bool, label: &str, msg: impl FnOnce() -> String) -> Result<(), GauntletError> {
     if cond {
         Ok(())
@@ -527,25 +488,7 @@ fn drive(
     paths: &[PathBuf],
 ) -> Result<ScenarioOutcome, GauntletError> {
     let label = manifest.scenario.label();
-    let mut topology = ServeTopology::new(
-        model,
-        features,
-        EngineConfig::new(config.voters, VotingRule::Majority, config.max_quarantine),
-        n_shards,
-        paths.len(),
-        QUEUE_CAPACITY,
-    )
-    .map_err(|source| GauntletError::Model {
-        path: "<gauntlet model>".to_string(),
-        source,
-    })?;
-    let mut ingest = MultiFeedIngest::new(paths, topology.router());
-    let pool = ThreadPool::global();
-    let mut sink = String::new();
-    let mut tick_times = Vec::new();
-    let mut transitions = 0usize;
-    let mut rotations = 0usize;
-    let mut manager = match &config.retrain {
+    let manager = match &config.retrain {
         Some(spec) => {
             let dir = config
                 .work_dir
@@ -562,64 +505,22 @@ fn drive(
             lc.retrain_rows = spec.retrain_rows;
             lc.shadow_rows = spec.shadow_rows;
             lc.probation_rows = spec.probation_rows;
-            topology.set_record_events(true);
             Some(LifecycleManager::new(lc, model_path, spec.faults()))
         }
         None => None,
     };
-
-    loop {
-        let budget = config.rate.min(topology.free());
-        let polled = ingest.poll(budget);
-        if let Some((f, source)) = polled.errors.into_iter().next() {
-            return Err(GauntletError::Io {
-                path: paths[f].display().to_string(),
-                source,
-            });
-        }
-        rotations += polled.rotations;
-        let evicted = topology.enqueue(polled.routed);
-        ensure(evicted == 0, label, || {
-            format!("{evicted} row(s) evicted from shard queues at {n_shards} shard(s)")
-        })?;
-        let token = CancelToken::new();
-        let (ticked, ms) =
-            time_ms(|| topology.tick(&pool, &token, &ingest.cursors(), ingest.watermark()));
-        let tick =
-            ticked.map_err(|e| GauntletError::Degraded(format!("{label}: scoring failed: {e}")))?;
-        tick_times.push(ms);
-        transitions += tick.transitions.len();
-        for alarm in &tick.alarms {
-            let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-        }
-        if let Some(manager) = manager.as_mut() {
-            let _notes = manager.consume(
-                &pool,
-                &tick.events,
-                tick.alarms.len(),
-                tick.transitions.len(),
-                topology.merge_state().emitted(),
-            );
-        }
-        if polled.lines_read == 0 && !topology.has_queued() {
-            let flushed = topology.flush_pending();
-            for alarm in &flushed {
-                let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-            }
-            if let Some(manager) = manager.as_mut() {
-                let events = topology.flush_events();
-                let _notes = manager.consume(
-                    &pool,
-                    &events,
-                    flushed.len(),
-                    0,
-                    topology.merge_state().emitted(),
-                );
-            }
-            break;
-        }
-    }
-
+    let Served {
+        topology,
+        manager,
+        sink,
+        tick_times,
+        transitions,
+        rotations,
+        evicted,
+    } = serve_fleet(config, model, features, n_shards, paths, manager, label)?;
+    ensure(evicted == 0, label, || {
+        format!("{evicted} row(s) evicted from shard queues at {n_shards} shard(s)")
+    })?;
     let stats = topology.stats();
     let dropped = topology.dropped();
     ensure(dropped == 0, label, || {
@@ -692,19 +593,7 @@ fn drive(
     let (fdr, far, lead_hours, alarms) = score_sink(&sink, summary);
     let lifecycle = match manager {
         None => None,
-        Some(mut manager) => {
-            // The feeds are drained, queues empty and alarms flushed —
-            // the quiesce at which staged swaps are allowed to land.
-            while manager.has_staged_swap() {
-                if let Some(next) = manager.apply_staged().map_err(GauntletError::Lifecycle)? {
-                    topology
-                        .swap_model(&next)
-                        .map_err(|source| GauntletError::Model {
-                            path: manager.store().model_path().display().to_string(),
-                            source,
-                        })?;
-                }
-            }
+        Some(manager) => {
             let live_fingerprint = manager
                 .store()
                 .live_fingerprint()
@@ -766,46 +655,8 @@ fn rescore(
     paths: &[PathBuf],
     summary: &FleetSummary,
 ) -> Result<f64, GauntletError> {
-    let mut topology = ServeTopology::new(
-        model,
-        features,
-        EngineConfig::new(config.voters, VotingRule::Majority, config.max_quarantine),
-        1,
-        paths.len(),
-        QUEUE_CAPACITY,
-    )
-    .map_err(|source| GauntletError::Model {
-        path: "<promoted model>".to_string(),
-        source,
-    })?;
-    let mut ingest = MultiFeedIngest::new(paths, topology.router());
-    let pool = ThreadPool::global();
-    let mut sink = String::new();
-    loop {
-        let budget = config.rate.min(topology.free());
-        let polled = ingest.poll(budget);
-        if let Some((f, source)) = polled.errors.into_iter().next() {
-            return Err(GauntletError::Io {
-                path: paths[f].display().to_string(),
-                source,
-            });
-        }
-        topology.enqueue(polled.routed);
-        let token = CancelToken::new();
-        let tick = topology
-            .tick(&pool, &token, &ingest.cursors(), ingest.watermark())
-            .map_err(|e| GauntletError::Degraded(format!("rescore failed: {e}")))?;
-        for alarm in &tick.alarms {
-            let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-        }
-        if polled.lines_read == 0 && !topology.has_queued() {
-            for alarm in topology.flush_pending() {
-                let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-            }
-            break;
-        }
-    }
-    let (fdr, _, _, _) = score_sink(&sink, summary);
+    let served = serve_fleet(config, model, features, 1, paths, None, "rescore")?;
+    let (fdr, _, _, _) = score_sink(&served.sink, summary);
     Ok(fdr)
 }
 
@@ -873,11 +724,86 @@ fn assert_lifecycle(
     Ok(())
 }
 
-/// Append one `drive,hour` alarm line; writing to a `String` cannot
-/// fail, the `Result` only satisfies `fmt::Write`.
-fn writeln_alarm(sink: &mut String, line: &str) -> fmt::Result {
-    use fmt::Write as _;
-    writeln!(sink, "{line}")
+/// What serving one fleet to quiescence left behind.
+struct Served {
+    topology: ServeTopology,
+    manager: Option<LifecycleManager>,
+    /// The merged alarm sink, exactly as `hddpred serve` would write it.
+    sink: String,
+    tick_times: Vec<f64>,
+    transitions: usize,
+    rotations: usize,
+    evicted: usize,
+}
+
+/// Serve the feeds with [`ServeLoop`] — unbudgeted ticks, at most
+/// `config.rate` lines per poll — until the first quiesced step: feeds
+/// drained, queues empty, alarms flushed and staged swaps applied. The
+/// first feed read error fails the run.
+fn serve_fleet(
+    config: &GauntletConfig,
+    model: &Arc<SavedModel>,
+    features: &FeatureSet,
+    n_shards: usize,
+    paths: &[PathBuf],
+    manager: Option<LifecycleManager>,
+    label: &str,
+) -> Result<Served, GauntletError> {
+    let topology = ServeTopology::new(
+        model,
+        features,
+        EngineConfig::new(config.voters, VotingRule::Majority, config.max_quarantine),
+        n_shards,
+        paths.len(),
+        QUEUE_CAPACITY,
+    )
+    .map_err(|source| GauntletError::Model {
+        path: format!("<{label} model>"),
+        source,
+    })?;
+    let ingest = MultiFeedIngest::new(paths, topology.router());
+    let mut serve_loop =
+        ServeLoop::new(ingest, topology, manager, Vec::new()).with_poll_cap(config.rate);
+    let (mut tick_times, mut transitions, mut rotations, mut evicted) = (Vec::new(), 0, 0, 0);
+    loop {
+        let step = serve_loop
+            .step(&ThreadPool::global(), &CancelToken::new())
+            .map_err(|e| match e {
+                ServeLoopError::Swap(source) => GauntletError::Lifecycle(source),
+                ServeLoopError::Model(source) => GauntletError::Model {
+                    path: serve_loop.lifecycle().map_or_else(String::new, |m| {
+                        m.store().model_path().display().to_string()
+                    }),
+                    source,
+                },
+                other => GauntletError::Degraded(format!("{label}: {other}")),
+            })?;
+        if let Some((f, source)) = step.feed_errors.into_iter().next() {
+            return Err(GauntletError::Io {
+                path: paths[f].display().to_string(),
+                source,
+            });
+        }
+        tick_times.push(step.tick_ms);
+        transitions += step.transitions.len();
+        rotations += step.rotations;
+        evicted += step.evicted;
+        if step.quiesced {
+            break;
+        }
+    }
+    let (topology, manager, sink) = serve_loop.into_parts();
+    let sink = String::from_utf8(sink)
+        .map_err(|e| GauntletError::Degraded(format!("{label}: alarm sink: {e}")))?;
+    Ok(Served {
+        topology,
+        manager,
+        sink,
+        tick_times,
+        transitions,
+        rotations,
+        evicted,
+    })
 }
 
 /// FDR, FAR, mean lead hours and alarm count from a sink vs the truth.
@@ -932,17 +858,6 @@ fn score_sink(sink: &str, summary: &FleetSummary) -> (f64, f64, f64, usize) {
     (fdr, far, lead, alarms)
 }
 
-/// The 99th-percentile of `ticks` (nearest-rank), 0 for an empty run.
-fn p99(ticks: &[f64]) -> f64 {
-    if ticks.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = ticks.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((sorted.len() as f64) * 0.99).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -973,16 +888,6 @@ mod tests {
     fn empty_classes_do_not_divide_by_zero() {
         let (fdr, far, lead, alarms) = score_sink("", &truth(&[]));
         assert_eq!((fdr, far, lead, alarms), (0.0, 0.0, 0.0, 0));
-    }
-
-    #[test]
-    fn p99_is_nearest_rank() {
-        assert_eq!(p99(&[]), 0.0);
-        assert_eq!(p99(&[5.0]), 5.0);
-        let ticks: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(p99(&ticks), 99.0);
-        let ticks: Vec<f64> = (1..=200).map(f64::from).collect();
-        assert_eq!(p99(&ticks), 198.0);
     }
 
     #[test]

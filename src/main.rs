@@ -23,11 +23,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use hddpred::cart::{Class, ClassSample, ClassificationTreeBuilder, TrainError};
-use hddpred::eval::{ModelError, Predictor, SavedModel, VotingDetector, VotingRule};
+use hddpred::cart::{ClassificationTreeBuilder, TrainError};
+use hddpred::eval::{
+    series_training_set, ModelError, Predictor, SavedModel, VotingDetector, VotingRule,
+};
 use hddpred::lifecycle::{
     lifecycle_path, LifecycleConfig, LifecycleFaults, LifecycleManager, ModelStore, Recovery,
-    WindowMode,
+    ServeLoop, ServeLoopError, WindowMode,
 };
 use hddpred::par::CancelToken;
 use hddpred::serve::{
@@ -37,7 +39,6 @@ use hddpred::serve::{
 use hddpred::smart::csv::{
     read_series_quarantined, write_header, write_series, CsvError, IngestPolicy,
 };
-use hddpred::smart::rng::DeterministicRng;
 use hddpred::smart::{DatasetGenerator, FamilyProfile, Hour, SmartSeries};
 use hddpred::stats::FeatureSet;
 use std::collections::HashMap;
@@ -396,45 +397,6 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Assemble a training set from raw series: 3 random samples per good
-/// drive plus the failed samples within the window.
-fn training_set(
-    series: &[SmartSeries],
-    features: &FeatureSet,
-    window_hours: u32,
-) -> Vec<ClassSample> {
-    let rng = DeterministicRng::new(0x007E_A1CB);
-    let mut samples = Vec::new();
-    for (d, s) in series.iter().enumerate() {
-        match s.class.fail_hour() {
-            None => {
-                for k in 0..3u64 {
-                    for attempt in 0..8u64 {
-                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
-                        let idx = (u * s.len() as f64) as usize;
-                        if let Some(f) = features.extract(s, idx) {
-                            samples.push(ClassSample::new(f, Class::Good));
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(fail) => {
-                let start = fail - window_hours;
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour < start {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
-    samples
-}
-
 /// `hddpred train`: fit a CT model on labelled series, compile it and
 /// write the versioned model file.
 fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -445,7 +407,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let series = load_series(data, flags)?;
     let features = FeatureSet::critical13();
-    let samples = training_set(&series, &features, window);
+    let samples = series_training_set(&series, &features, window, 0x007E_A1CB);
     eprintln!(
         "training on {} samples from {} drives",
         samples.len(),
@@ -550,7 +512,6 @@ fn audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
 struct ServeCounters {
     rotations: usize,
     replayed: usize,
-    reload_failures: usize,
 }
 
 /// One status line summarizing the whole topology.
@@ -629,7 +590,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     // Lifecycle crash recovery must run before the model file is read:
     // a promotion interrupted by the last crash may complete (or be
     // abandoned) here, changing which bytes are the live model.
-    let mut lifecycle = match serve_lifecycle_config(flags, voters, rule)? {
+    let lifecycle = match serve_lifecycle_config(flags, voters, rule)? {
         None => None,
         Some(lc) => {
             let (manager, recovery) = LifecycleManager::resume(
@@ -672,9 +633,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         queue_cap,
     )
     .map_err(|e| model_error(model_path, e))?;
-    if lifecycle.is_some() {
-        topology.set_record_events(true);
-    }
     let mut counters = ServeCounters::default();
 
     // Resume from a checkpoint directory when one holds topology state
@@ -690,7 +648,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     // Roll the alarm sink back to the checkpointed length (or to empty
     // for a fresh start); replay re-emits everything past it, which is
     // what makes a killed run's output byte-identical.
-    let mut sink_bytes = topology.merge_state().sink_bytes;
+    let sink_bytes = topology.merge_state().sink_bytes;
     let mut sink = std::fs::OpenOptions::new()
         .create(true)
         .write(true)
@@ -713,34 +671,17 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let mut watcher = flags
         .contains_key("model-watch")
         .then(|| ModelWatcher::new(model_path, features.len()));
-    let mut ingest =
+    let ingest =
         MultiFeedIngest::resume(&feeds, topology.router(), &topology.ingest_resume_cursors());
+    let mut serve_loop = ServeLoop::new(ingest, topology, lifecycle, sink)
+        .with_checkpoint(ckpt_dir.map(PathBuf::from));
     let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(5));
     let pool = hddpred::par::ThreadPool::global();
     let mut idle_polls = 0usize;
     eprintln!(
         "serving {feed} -> {out} ({})",
-        serve_status(&topology, &counters)
+        serve_status(serve_loop.topology(), &counters)
     );
-
-    // Append alarm lines to the sink (flushed before any checkpoint).
-    let emit = |sink: &mut std::fs::File,
-                sink_bytes: &mut u64,
-                alarms: &[hddpred::serve::SeqAlarm]|
-     -> Result<(), CliError> {
-        if alarms.is_empty() {
-            return Ok(());
-        }
-        let mut bytes = Vec::new();
-        for alarm in alarms {
-            bytes.extend_from_slice(alarm.alarm.to_string().as_bytes());
-            bytes.push(b'\n');
-        }
-        sink.write_all(&bytes).map_err(io_error(out))?;
-        sink.flush().map_err(io_error(out))?;
-        *sink_bytes += bytes.len() as u64;
-        Ok(())
-    };
 
     loop {
         // Hot model reload: a changed file is validated through the
@@ -749,40 +690,15 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         if let Some(w) = watcher.as_mut() {
             match w.poll() {
                 None => {}
-                Some(Ok(m)) => match topology.swap_model(&m) {
+                Some(Ok(m)) => match serve_loop.topology_mut().swap_model(&m) {
                     Ok(()) => eprintln!("model reloaded from {model_path}"),
                     Err(e) => {
-                        counters.reload_failures += 1;
-                        eprintln!("model reload rejected (keeping last-known-good): {e}");
+                        eprintln!("model reload rejected (keeping last-known-good): {e}")
                     }
                 },
-                Some(Err(e)) => {
-                    counters.reload_failures += 1;
-                    eprintln!("model reload rejected (keeping last-known-good): {e}");
-                }
+                Some(Err(e)) => eprintln!("model reload rejected (keeping last-known-good): {e}"),
             }
         }
-
-        // Tail the feeds, routing no more lines than every shard queue
-        // can hold: backpressure applies at the (durable) files rather
-        // than by shedding queued rows.
-        let polled = ingest.poll(topology.free());
-        if polled.errors.is_empty() {
-            backoff.reset();
-        } else {
-            let delay = backoff.next_delay();
-            for (f, e) in &polled.errors {
-                eprintln!(
-                    "feed {} read failed ({e}); retrying in {}ms",
-                    feeds[*f].display(),
-                    delay.as_millis()
-                );
-            }
-            std::thread::sleep(delay);
-        }
-        counters.rotations += polled.rotations;
-        let read_lines = polled.lines_read;
-        topology.enqueue(polled.routed);
 
         // Tick every shard under this tick's time budget. An over-budget
         // sub-batch commits nothing and stays queued for the next tick,
@@ -790,94 +706,51 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         // shard's first sub-batch runs without the deadline so a
         // too-small budget degrades throughput instead of livelocking.
         let token = CancelToken::with_budget(Duration::from_millis(tick_budget));
-        let tick = topology
-            .tick(&pool, &token, &ingest.cursors(), ingest.watermark())
-            .map_err(|e| CliError::Serve(format!("scoring failed: {e}")))?;
-        counters.replayed += tick.replayed;
-        emit(&mut sink, &mut sink_bytes, &tick.alarms)?;
-        for (shard, state) in &tick.transitions {
+        let step = serve_loop.step(&pool, &token).map_err(|e| match e {
+            ServeLoopError::Sink(source) => io_error(out)(source),
+            ServeLoopError::Model(source) => model_error(model_path, source),
+            ServeLoopError::Checkpoint(source) => {
+                checkpoint_error(ckpt_dir.map_or("", String::as_str), source)
+            }
+            other => CliError::Serve(other.to_string()),
+        })?;
+        counters.rotations += step.rotations;
+        counters.replayed += step.replayed;
+        let delay = if step.feed_errors.is_empty() {
+            backoff.reset();
+            None
+        } else {
+            let delay = backoff.next_delay();
+            for (f, e) in &step.feed_errors {
+                eprintln!(
+                    "feed {} read failed ({e}); retrying in {}ms",
+                    feeds[*f].display(),
+                    delay.as_millis()
+                );
+            }
+            Some(delay)
+        };
+        for (shard, state) in &step.transitions {
             eprintln!(
                 "breaker[{shard}]: {} ({})",
                 state.label(),
-                serve_status(&topology, &counters)
+                serve_status(serve_loop.topology(), &counters)
             );
         }
-        if let Some(mgr) = lifecycle.as_mut() {
-            for note in mgr.consume(
-                &pool,
-                &tick.events,
-                tick.alarms.len(),
-                tick.transitions.len(),
-                topology.merge_state().emitted(),
-            ) {
-                eprintln!("{note}");
-            }
+        for note in &step.notes {
+            eprintln!("{note}");
+        }
+        if let Some(delay) = delay {
+            std::thread::sleep(delay);
         }
 
-        let mut idle = read_lines == 0 && !topology.has_queued();
-        if idle {
-            // Feeds of unequal length stall the watermark at the
-            // shortest one; flush the held-back alarms now that
-            // everything routed has committed.
-            let flushed = topology.flush_pending();
-            emit(&mut sink, &mut sink_bytes, &flushed)?;
-            idle = flushed.is_empty();
-            // The topology is fully quiesced — the only stream position
-            // at which a staged promotion or rollback may land.
-            if let Some(mgr) = lifecycle.as_mut() {
-                let events = topology.flush_events();
-                for note in mgr.consume(
-                    &pool,
-                    &events,
-                    flushed.len(),
-                    0,
-                    topology.merge_state().emitted(),
-                ) {
-                    eprintln!("{note}");
-                }
-                while mgr.has_staged_swap() {
-                    match mgr.apply_staged() {
-                        Ok(Some(next)) => {
-                            topology
-                                .swap_model(&next)
-                                .map_err(|e| model_error(model_path, e))?;
-                            idle = false;
-                            eprintln!("lifecycle: live model swapped ({})", mgr.phase().label());
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            return Err(CliError::Serve(format!("lifecycle swap failed: {e}")))
-                        }
-                    }
-                }
-            }
-        }
-
-        // Snapshot after every committed batch: sink first (already
-        // flushed above), lifecycle second, topology third, dirty shards
-        // last — replayed events are deduplicated by the lifecycle's
-        // consumed-seq filter, so a crash between any two writes merely
-        // replays a feed suffix.
-        if tick.progressed || !idle {
-            if let Some(dir) = ckpt_dir {
-                topology.note_sink_bytes(sink_bytes);
-                if let Some(mgr) = lifecycle.as_ref() {
-                    mgr.save_checkpoint(Path::new(dir)).map_err(|e| {
-                        CliError::Serve(format!("lifecycle checkpoint failed: {e}"))
-                    })?;
-                }
-                topology
-                    .save_checkpoints(Path::new(dir))
-                    .map_err(|e| checkpoint_error(dir, e))?;
-            }
-        }
-
-        if idle {
+        if step.idle {
             idle_polls += 1;
             if exit_on_idle > 0 && idle_polls >= exit_on_idle {
+                let topology = serve_loop.topology();
                 eprintln!(
                     "idle for {idle_polls} polls; exiting ({})",
-                    serve_status(&topology, &counters)
+                    serve_status(topology, &counters)
                 );
                 // Per-shard breakdown: which slice of the fleet paid
                 // for the degradation the summary line aggregates.
